@@ -391,12 +391,23 @@ impl AmrTree {
         }
         let mut refined = Vec::with_capacity(max_level as usize);
         for _ in 0..max_level {
-            let n = read_u64(bytes, &mut pos)? as usize;
-            let mut set = Vec::with_capacity(n);
+            let n = read_u64(bytes, &mut pos)?;
+            // Each key is at least one varint byte, so a count beyond the
+            // bytes left is corrupt — and rejecting it first keeps the
+            // allocation below bounded by the input size.
+            if n > (bytes.len() - pos) as u64 {
+                return Err(AmrError::Corrupt("refined count exceeds the bytes left"));
+            }
+            let mut set = Vec::with_capacity(n as usize);
             let mut key = 0u64;
             for i in 0..n {
                 let delta = read_u64(bytes, &mut pos)?;
-                key = if i == 0 { delta } else { key + delta };
+                key = if i == 0 {
+                    delta
+                } else {
+                    key.checked_add(delta)
+                        .ok_or(AmrError::Corrupt("refined key overflows"))?
+                };
                 set.push(key);
             }
             refined.push(set);
@@ -603,6 +614,36 @@ mod tests {
         for cut in [4, 6, bytes.len() - 1] {
             assert!(AmrTree::from_structure_bytes(&bytes[..cut]).is_err());
         }
+    }
+
+    /// `AMT1`, 2-D, patch shift 0, one rank, 4×4×1 base, one level.
+    fn hostile_header() -> Vec<u8> {
+        let mut b = b"AMT1".to_vec();
+        b.extend_from_slice(&[2, 0, 1, 4, 4, 1, 1]);
+        b
+    }
+
+    #[test]
+    fn hostile_refined_count_is_corrupt_not_an_abort() {
+        let mut bytes = hostile_header();
+        write_u64(&mut bytes, 1 << 40);
+        bytes.extend_from_slice(&[0; 4]);
+        assert!(matches!(
+            AmrTree::from_structure_bytes(&bytes),
+            Err(AmrError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn overflowing_refined_keys_are_corrupt_not_a_panic() {
+        let mut bytes = hostile_header();
+        write_u64(&mut bytes, 2);
+        write_u64(&mut bytes, u64::MAX);
+        write_u64(&mut bytes, 2);
+        assert!(matches!(
+            AmrTree::from_structure_bytes(&bytes),
+            Err(AmrError::Corrupt(_))
+        ));
     }
 
     #[test]

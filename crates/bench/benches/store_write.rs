@@ -1,13 +1,12 @@
-//! Criterion bench: buffered (whole-container-in-memory) vs streaming
-//! (bounded compress→write window) store writes, plus the memory story
-//! the numbers alone don't tell — peak encode-buffer bytes under each
-//! window and the process peak RSS (`VmHWM`).
+//! Criterion bench: store writes through the bounded compress→write
+//! window at several window sizes, plus the memory story the numbers
+//! alone don't tell — peak encode-buffer bytes under each window and the
+//! process peak RSS (`VmHWM`).
 //!
-//! The buffered rows measure `StoreWriter::write` (assemble in RAM) and
-//! `write` + `persist_store` (the historical pack path). The streaming
-//! rows drive `write_to_sink` into a `VecSink` at several window sizes
-//! and `write_streaming_to_path` for the end-to-end file path, so the
-//! comparison isolates pipeline overhead from disk I/O.
+//! The in-memory rows drive `write_to_sink` into a `VecSink` (what
+//! `StoreWriter::write` runs with the default 8 MiB window), and
+//! `write_streaming_to_path` is the end-to-end file path that `zmesh pack`
+//! takes, so the comparison isolates pipeline overhead from disk I/O.
 //!
 //! Run with `CRITERION_JSON=BENCH_store_write.json` to emit the
 //! machine-readable medians next to the human-readable table.
@@ -17,7 +16,7 @@ use zmesh::{CompressionConfig, OrderingPolicy};
 use zmesh_amr::datasets::{self, Scale};
 use zmesh_amr::StorageMode;
 use zmesh_codecs::{CodecKind, ErrorControl};
-use zmesh_store::{persist_store, process_peak_rss, Parity, StoreWriter, StreamOptions, VecSink};
+use zmesh_store::{process_peak_rss, Parity, StoreWriter, StreamOptions, VecSink};
 
 fn config() -> CompressionConfig {
     CompressionConfig {
@@ -51,21 +50,6 @@ fn bench_store_write(c: &mut Criterion) {
     let mut g = c.benchmark_group("store_write");
     g.throughput(Throughput::Bytes(container_bytes));
 
-    g.bench_function("buffered/in_memory", |b| {
-        b.iter(|| writer.write(black_box(&fields)).unwrap())
-    });
-
-    let path = std::env::temp_dir().join(format!(
-        "zmesh_bench_store_write_{}.zms",
-        std::process::id()
-    ));
-    g.bench_function("buffered/to_file", |b| {
-        b.iter(|| {
-            let out = writer.write(black_box(&fields)).unwrap();
-            persist_store(&out.bytes, &path).unwrap()
-        })
-    });
-
     let windows: [(&str, usize); 3] = [
         ("window_8k", 8 * 1024),
         ("window_256k", 256 * 1024),
@@ -86,6 +70,10 @@ fn bench_store_write(c: &mut Criterion) {
         });
     }
 
+    let path = std::env::temp_dir().join(format!(
+        "zmesh_bench_store_write_{}.zms",
+        std::process::id()
+    ));
     #[cfg(unix)]
     g.bench_function("streaming/to_file_8k", |b| {
         let opts = StreamOptions {
@@ -115,9 +103,8 @@ fn bench_store_write(c: &mut Criterion) {
         );
     }
     eprintln!(
-        "store_write: buffered peak buffer {} bytes; process peak RSS {} bytes (VmHWM)",
-        probe.stats.peak_buffer_bytes,
-        process_peak_rss(),
+        "store_write: process peak RSS {} bytes (VmHWM)",
+        process_peak_rss()
     );
 
     let _ = std::fs::remove_file(&path);

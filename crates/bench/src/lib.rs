@@ -2,8 +2,8 @@
 //!
 //! One module per reconstructed paper artifact (see DESIGN.md §5 and
 //! `EXPERIMENTS.md`). Each experiment is a library function that prints its
-//! table/series rows to stdout; the `repro_*` binaries in `src/bin` are thin
-//! wrappers, and `repro_all` runs the entire evaluation.
+//! table/series rows to stdout; the `repro_all` binary runs the entire
+//! evaluation, or the artifacts named by `--only` (e.g. `--only f3,f8`).
 //!
 //! Run with `--scale small` (or `ZMESH_SCALE=small`) to get a fast pass on
 //! reduced datasets; the default `standard` scale matches EXPERIMENTS.md.

@@ -1272,14 +1272,14 @@ mod tests {
     }
 
     fn sample_store(chunk_bytes: u32) -> (datasets::Dataset, Vec<u8>) {
-        sample_store_with_width(chunk_bytes, crate::parity::DEFAULT_PARITY_GROUP_WIDTH)
+        sample_store_with_parity(chunk_bytes, Parity::default())
     }
 
-    fn sample_store_with_width(chunk_bytes: u32, width: u32) -> (datasets::Dataset, Vec<u8>) {
+    fn sample_store_with_parity(chunk_bytes: u32, parity: Parity) -> (datasets::Dataset, Vec<u8>) {
         let ds = datasets::blast2d(StorageMode::AllCells, datasets::Scale::Tiny);
         let out = StoreWriter::new(CompressionConfig::zmesh_default())
             .with_chunk_target_bytes(chunk_bytes)
-            .with_parity_group_width(width)
+            .with_parity(parity)
             .write(&refs(&ds))
             .unwrap();
         (ds, out.bytes)
@@ -1414,10 +1414,10 @@ mod tests {
 
     #[test]
     fn salvage_decode_fills_and_reports_when_parity_cannot_help() {
-        // Width 0 ⇒ v2 store, no parity: single-chunk damage stays lost.
-        let (_, mut bytes) = sample_store_with_width(512, 0);
+        // No parity ⇒ v2 store: single-chunk damage stays lost.
+        let (_, mut bytes) = sample_store_with_parity(512, Parity::None);
         corrupt_chunk(&mut bytes, 0, 2);
-        let clean = sample_store_with_width(512, 0).1;
+        let clean = sample_store_with_parity(512, Parity::None).1;
         let full = StoreReader::open(&clean)
             .unwrap()
             .decode_field("density")
@@ -1446,7 +1446,7 @@ mod tests {
 
     #[test]
     fn salvage_fill_zero_substitutes_zeros() {
-        let (_, mut bytes) = sample_store_with_width(512, 0);
+        let (_, mut bytes) = sample_store_with_parity(512, Parity::None);
         corrupt_chunk(&mut bytes, 0, 2);
         let reader = StoreReader::open(&bytes)
             .unwrap()
@@ -1498,7 +1498,7 @@ mod tests {
         assert_eq!(result.values, clean_result.values);
 
         // Without parity, the damaged chunk is dropped from the result.
-        let (_, mut v2) = sample_store_with_width(512, 0);
+        let (_, mut v2) = sample_store_with_parity(512, Parity::None);
         corrupt_chunk(&mut v2, 0, 0);
         let salvage = StoreReader::open(&v2)
             .unwrap()

@@ -43,7 +43,7 @@ serve-smoke:
 chaos-smoke:
     bash scripts/chaos_smoke.sh
 
-# Write-crash smoke: streaming pack under injected crashes/ENOSPC and
+# Write-crash smoke: pack under injected crashes/ENOSPC and
 # real SIGKILLs — destination always {absent, old-intact, committed},
 # torn tmps are exact prefixes, reruns heal.
 write-crash-smoke:
@@ -53,7 +53,7 @@ write-crash-smoke:
 bench-store-read:
     CRITERION_JSON=BENCH_store_read.json cargo bench -p zmesh-bench --bench store_read
 
-# Buffered vs streaming store write bench (throughput + peak buffer /
+# Store write bench across window sizes (throughput + peak buffer /
 # peak RSS), with machine-readable medians.
 bench-store-write:
     CRITERION_JSON=BENCH_store_write.json cargo bench -p zmesh-bench --bench store_write

@@ -282,7 +282,7 @@ fn parity_overhead_is_a_small_fraction_of_payload() {
     for width in [4u32, 8, 16] {
         let out = StoreWriter::new(config(OrderingPolicy::Hilbert))
             .with_chunk_target_bytes(2048)
-            .with_parity_group_width(width)
+            .with_parity(Parity::Xor { width })
             .write(&refs(&ds))
             .expect("write store");
         let overhead = out.stats.parity_overhead();

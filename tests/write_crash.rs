@@ -84,7 +84,7 @@ fn kill_point_matrix_never_leaves_a_readable_wrong_store() {
     for parity in PARITIES {
         let want = writer_for(parity)
             .write(&fields(dataset()))
-            .expect("buffered reference")
+            .expect("in-memory reference")
             .bytes;
         let total = want.len() as u64;
         let writer = writer_for(parity); // one writer: recipe cache warm across the matrix
@@ -177,7 +177,7 @@ fn rerunning_a_pack_heals_a_stranded_tmp() {
     for parity in PARITIES {
         let want = writer_for(parity)
             .write(&fields(dataset()))
-            .expect("buffered reference")
+            .expect("in-memory reference")
             .bytes;
         let writer = writer_for(parity);
         let dir = workdir(&format!("heal_v{}", parity.store_version()));
@@ -214,7 +214,7 @@ fn enospc_aborts_typed_and_clean() {
     for parity in PARITIES {
         let want = writer_for(parity)
             .write(&fields(dataset()))
-            .expect("buffered reference")
+            .expect("in-memory reference")
             .bytes;
         let total = want.len() as u64;
         let writer = writer_for(parity);
